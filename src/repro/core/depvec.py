@@ -16,7 +16,8 @@ prune it.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List, Optional, Tuple
+from collections import deque
+from typing import Deque, Dict, Hashable, Iterable, List, Optional, Set, Tuple
 
 from ..stm.store import StateStore
 from ..telemetry.registry import NULL_COUNTER, NULL_GAUGE
@@ -76,7 +77,7 @@ class ReplicationState:
         self.store = store or StateStore(mbox)
         self.max: Dict[int, int] = {}        # partition -> applied count
         self.pending: List[PiggybackLog] = []
-        self.retained: List[PiggybackLog] = []
+        self._reindex(())
         self.commit_floor: Dict[int, int] = {}
         self.applied = 0
         self.duplicates = 0
@@ -150,7 +151,7 @@ class ReplicationState:
         self.store.apply_many(log.updates)
         for partition in log.depvec:
             self.max[partition] = self.max.get(partition, 0) + 1
-        self.retained.append(log)
+        self._retain(log)
         self.applied += 1
         self._m_applied.inc()
 
@@ -169,7 +170,7 @@ class ReplicationState:
                     f"head log out of order on partition {partition}: "
                     f"stamped {seq}, expected {expected}")
             self.max[partition] = expected + 1
-        self.retained.append(log)
+        self._retain(log)
         self.applied += 1
         self._m_applied.inc()
 
@@ -191,6 +192,46 @@ class ReplicationState:
                     self._m_duplicates.inc()
         return applied
 
+    # -- retained logs ----------------------------------------------------------
+
+    @property
+    def retained(self) -> List[PiggybackLog]:
+        """Logs kept for retransmission, oldest first (a fresh list)."""
+        return list(self._retained.values())
+
+    def _reindex(self, logs: Iterable[PiggybackLog]) -> None:
+        #: Retention slot -> log, in retention order.
+        self._retained: Dict[int, PiggybackLog] = {}
+        self._next_slot = 0
+        #: The prune index: partition -> (seq, slot) in sequence order.
+        #: A log is retained only when its entries equal MAX, so
+        #: appending keeps every queue sorted and the covered logs form a
+        #: prefix.
+        self._by_partition: Dict[int, Deque[Tuple[int, int]]] = {}
+        #: Partitions of logs retained since the last absorb, and the
+        #: slots of empty-depvec logs among them: the next absorb checks
+        #: these even where the floor does not advance.
+        self._fresh_partitions: Set[int] = set()
+        self._fresh_empty: List[int] = []
+        for log in logs:
+            self._retain(log)
+
+    def _retain(self, log: PiggybackLog) -> None:
+        slot = self._next_slot
+        self._next_slot = slot + 1
+        self._retained[slot] = log
+        depvec = log.depvec
+        if not depvec:
+            self._fresh_empty.append(slot)
+            return
+        index = self._by_partition
+        for partition, seq in depvec.items():
+            queue = index.get(partition)
+            if queue is None:
+                queue = index[partition] = deque()
+            queue.append((seq, slot))
+        self._fresh_partitions.update(depvec)
+
     # -- commit vectors / pruning --------------------------------------------------
 
     def commit_vector(self, last_sent: Optional[Dict[int, int]] = None) -> CommitVector:
@@ -207,21 +248,45 @@ class ReplicationState:
         if commit.mbox != self.mbox:
             raise ProtocolError(
                 f"commit for {commit.mbox} offered to {self.mbox}")
-        commit.merge_into(self.commit_floor)
         floor = self.commit_floor
-        before = len(self.retained)
-        self.retained = [
-            log for log in self.retained
-            if not all(seq + 1 <= floor.get(partition, 0)
-                       for partition, seq in log.depvec.items())
-        ]
-        if before != len(self.retained):
-            self._m_pruned.inc(before - len(self.retained))
-        self._m_commit_lag.set(len(self.retained))
+        scan = self._fresh_partitions
+        for partition, seq in commit.entries.items():
+            if seq > floor.get(partition, -1):
+                floor[partition] = seq
+                scan.add(partition)
+        retained = self._retained
+        before = len(retained)
+        if self._fresh_empty:
+            for slot in self._fresh_empty:
+                del retained[slot]
+            self._fresh_empty = []
+        # A log is fully covered only once its last partition is, and
+        # that partition is either advancing now or was fresh: popping
+        # the covered prefix of each scanned queue finds every such log.
+        index = self._by_partition
+        for partition in scan:
+            queue = index.get(partition)
+            if not queue:
+                continue
+            bound = floor.get(partition, 0)
+            while queue and queue[0][0] < bound:
+                slot = queue.popleft()[1]
+                log = retained.get(slot)
+                if log is None:
+                    continue
+                depvec = log.depvec
+                if len(depvec) == 1 or all(
+                        seq + 1 <= floor.get(p, 0)
+                        for p, seq in depvec.items()):
+                    del retained[slot]
+        scan.clear()
+        if before != len(retained):
+            self._m_pruned.inc(before - len(retained))
+        self._m_commit_lag.set(len(retained))
 
     def unpruned_logs(self) -> List[PiggybackLog]:
         """Retained logs a successor might be missing (retransmission)."""
-        return list(self.retained)
+        return self.retained
 
     # -- recovery --------------------------------------------------------------
 
@@ -240,14 +305,14 @@ class ReplicationState:
     def export_state(self) -> Tuple[Dict[Hashable, object], Dict[int, int],
                                     List[PiggybackLog]]:
         """(store contents, MAX vector, retained logs) for a new replica."""
-        return self.store.snapshot(), dict(self.max), list(self.retained)
+        return self.store.snapshot(), dict(self.max), self.retained
 
     def import_state(self, contents, max_vector, retained) -> None:
         self.store.load(contents)
         self.max = dict(max_vector)
-        self.retained = list(retained)
+        self._reindex(retained)
         self.pending.clear()
 
     def __repr__(self):
         return (f"<ReplState {self.mbox} applied={self.applied} "
-                f"pending={len(self.pending)} retained={len(self.retained)}>")
+                f"pending={len(self.pending)} retained={len(self._retained)}>")

@@ -56,6 +56,12 @@ class PiggybackLog:
     number; partitions absent from it are "don't care" (§4.3).  A
     read-only transaction produces a no-op log (empty depvec, no
     updates) which replicas skip over.
+
+    A log is *sealed* once built: nothing writes ``depvec`` or
+    ``updates`` after construction (the head stamps both before the
+    log leaves the transaction).  Its wire size and state-byte count
+    are therefore computed on first use and cached on the log, so the
+    replicas and messages it travels through never re-walk its values.
     """
 
     mbox: str
@@ -63,17 +69,32 @@ class PiggybackLog:
     updates: Dict[Hashable, Any] = field(default_factory=dict)
     packet_id: int = 0
     log_id: int = field(default_factory=lambda: next(_log_ids))
+    #: ``(costs, byte_size, state_bytes)`` once measured under ``costs``.
+    _sizes: Optional[Tuple[CostModel, int, int]] = field(
+        default=None, init=False, repr=False, compare=False)
 
     @property
     def is_noop(self) -> bool:
         return not self.depvec and not self.updates
 
+    def _measure(self, costs: CostModel) -> Tuple[CostModel, int, int]:
+        sizes = self._sizes
+        if sizes is None or sizes[0] is not costs:
+            state = 0
+            for value in self.updates.values():
+                state += value_bytes(value, costs)
+            size = (costs.log_header_bytes +
+                    len(self.depvec) * costs.depvec_entry_bytes +
+                    len(self.updates) * costs.key_bytes + state)
+            sizes = self._sizes = (costs, size, state)
+        return sizes
+
     def byte_size(self, costs: CostModel = DEFAULT_COSTS) -> int:
-        size = costs.log_header_bytes
-        size += len(self.depvec) * costs.depvec_entry_bytes
-        for key, value in self.updates.items():
-            size += costs.key_bytes + value_bytes(value, costs)
-        return size
+        return self._measure(costs)[1]
+
+    def state_bytes(self, costs: CostModel = DEFAULT_COSTS) -> int:
+        """Bytes of raw state values carried (for copy-cost accounting)."""
+        return self._measure(costs)[2]
 
     def __repr__(self):
         return (f"<PBLog {self.mbox} vec={self.depvec} "
@@ -114,15 +135,22 @@ class CommitVector:
 
 
 class PiggybackMessage:
-    """The per-packet container of logs and commit vectors."""
+    """The per-packet container of logs and commit vectors.
+
+    ``byte_size()`` is cached until the next ``add_log``, ``take_logs``
+    or ``set_commit`` (the only ways the container changes), so the many
+    ``Packet.wire_size`` reads along a hop cost one attribute load.
+    """
 
     def __init__(self, costs: CostModel = DEFAULT_COSTS):
         self.costs = costs
         self.logs: Dict[str, List[PiggybackLog]] = {}
         self.commits: Dict[str, CommitVector] = {}
+        self._size: Optional[int] = None
 
     def add_log(self, log: PiggybackLog) -> None:
         self.logs.setdefault(log.mbox, []).append(log)
+        self._size = None
 
     def add_logs(self, logs: List[PiggybackLog]) -> None:
         for log in logs:
@@ -130,13 +158,18 @@ class PiggybackMessage:
 
     def take_logs(self, mbox: str) -> List[PiggybackLog]:
         """Remove and return all logs for ``mbox`` (done by its tail)."""
-        return self.logs.pop(mbox, [])
+        logs = self.logs.pop(mbox, None)
+        if logs is None:
+            return []
+        self._size = None
+        return logs
 
     def logs_for(self, mbox: str) -> List[PiggybackLog]:
         return self.logs.get(mbox, [])
 
     def set_commit(self, commit: CommitVector) -> None:
         self.commits[commit.mbox] = commit
+        self._size = None
 
     def commit_for(self, mbox: str) -> Optional[CommitVector]:
         return self.commits.get(mbox)
@@ -146,21 +179,23 @@ class PiggybackMessage:
         return sum(len(logs) for logs in self.logs.values())
 
     def byte_size(self) -> int:
-        size = self.costs.message_header_bytes
-        for logs in self.logs.values():
-            size += sum(log.byte_size(self.costs) for log in logs)
-        for commit in self.commits.values():
-            size += commit.byte_size(self.costs)
+        size = self._size
+        if size is None:
+            costs = self.costs
+            size = costs.message_header_bytes
+            for logs in self.logs.values():
+                for log in logs:
+                    size += log.byte_size(costs)
+            for commit in self.commits.values():
+                size += commit.byte_size(costs)
+            self._size = size
         return size
 
     def state_bytes(self) -> int:
         """Bytes of raw state values carried (for copy-cost accounting)."""
-        total = 0
-        for logs in self.logs.values():
-            for log in logs:
-                total += sum(value_bytes(v, self.costs)
-                             for v in log.updates.values())
-        return total
+        costs = self.costs
+        return sum(log.state_bytes(costs)
+                   for logs in self.logs.values() for log in logs)
 
     def __repr__(self):
         return (f"<PBMsg logs={{{', '.join(f'{m}:{len(l)}' for m, l in self.logs.items())}}} "

@@ -59,6 +59,8 @@ class MiddleboxRuntime:
         self.state = own_state
         self.costs = costs
         self.streams = streams or RandomStreams(0)
+        #: The processing-cost jitter stream, resolved once.
+        self._jitter_rng = self.streams.stream(f"cycles/{middlebox.name}")
         self.replicate = replicate
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         #: Extra work inside the critical section (FTMB charges its
@@ -84,9 +86,8 @@ class MiddleboxRuntime:
         frac = self.costs.cycle_jitter_frac
         if frac <= 0:
             return cycles
-        return self.streams.gauss_clamped(
-            f"cycles/{self.middlebox.name}", cycles, cycles * frac,
-            minimum=cycles * 0.5)
+        return max(cycles * 0.5,
+                   self._jitter_rng.gauss(cycles, cycles * frac))
 
     def _processing_cycles(self) -> float:
         base = self.middlebox.processing_cycles

@@ -113,8 +113,10 @@ class Packet:
     @property
     def wire_size(self) -> int:
         """Total bytes on the wire, including attachments."""
-        extra = sum(value.byte_size() for value in self.attachments.values())
-        return self.size + extra
+        size = self.size
+        for value in self.attachments.values():
+            size += value.byte_size()
+        return size
 
     @property
     def is_data(self) -> bool:

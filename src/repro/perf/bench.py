@@ -15,11 +15,8 @@ Schema version 2 (PROTOCOL.md §13.2)::
                              "us_per_packet": F, "calls_per_packet": F}}
     }
 
-Schema v1 (the original ``BENCH_throughput.json``) had no
-``schema_version``, no ``env``, and a ``results`` *list* of modes; the
-retrofitted writer in ``benchmarks/bench_throughput.py`` keeps v1's
-top-level mode list under v2 metadata so the trajectory of committed
-datapoints stays comparable (see the migration note there).
+Schema v1 had no ``schema_version``, no ``env``, and a ``results``
+*list* of modes; ``compare`` reads such a report but never gates it.
 
 Each scenario runs **twice**: an unprofiled pass whose wall time is
 the headline (``sim_pps_per_wall_s``), then a profiled pass for the

@@ -24,7 +24,7 @@ and for wounding transactions in the STM.
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional
 
 __all__ = [
@@ -159,19 +159,32 @@ class Event:
         return f"<{type(self).__name__} {state} at {id(self):#x}>"
 
 
+_PENDING = Event._PENDING
+
+
 class Timeout(Event):
-    """An event that fires after a fixed virtual-time delay."""
+    """An event that fires after a fixed virtual-time delay.
+
+    The commonest event by far, so it fills its slots and pushes itself
+    onto the heap directly (the same ``(time, priority, eid)`` entry
+    :meth:`Simulator._schedule` would push).
+    """
 
     __slots__ = ("delay",)
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None):
         if delay < 0:
             raise SimulationError(f"negative timeout delay {delay!r}")
-        super().__init__(sim)
-        self.delay = delay
-        self._ok = True
+        self.sim = sim
+        self.callbacks = []
         self._value = value
-        sim._schedule(self, delay=delay)
+        self._ok = True
+        self._scheduled = True
+        self._defused = False
+        self._cancelled = False
+        self.delay = delay
+        sim._eid = eid = sim._eid + 1
+        heappush(sim._queue, (sim._now + delay, PRIORITY_NORMAL, eid, self))
 
 
 class Initialize(Event):
@@ -226,15 +239,17 @@ class Process(Event):
         """Advance the generator with the triggered event's outcome."""
         # A stale wakeup: the process was already resumed by another
         # event (e.g. interrupted while waiting), then this one fired.
-        if self.triggered:
+        if self._value is not _PENDING:
             if not event._ok and not event._defused:
                 event._defused = True
             return
-        if event is not self._target and self._target is not None:
+        target = self._target
+        if event is not target and target is not None:
             # The process is waiting on a different event; this can only
             # be an interrupt (scheduled urgently) -- deliver it.
             self._detach_from_target()
-        self.sim._active_process = self
+        sim = self.sim
+        sim._active_process = self
         try:
             if event._ok:
                 next_target = self._generator.send(event._value)
@@ -245,31 +260,31 @@ class Process(Event):
             self._target = None
             self._ok = True
             self._value = stop.value
-            self.sim._schedule(self)
+            sim._schedule(self)
             return
         except BaseException as exc:
             self._target = None
             self._ok = False
             self._value = exc
             self._defused = False
-            self.sim._schedule(self)
+            sim._schedule(self)
             return
         finally:
-            self.sim._active_process = None
+            sim._active_process = None
         if not isinstance(next_target, Event):
             raise SimulationError(
                 f"process {self.name!r} yielded {next_target!r}, "
                 "which is not an Event")
-        if next_target.processed:
+        if next_target.callbacks is None:
             # Already-processed event: resume immediately (next step).
-            immediate = Event(self.sim)
+            immediate = Event(sim)
             immediate._ok = next_target._ok
             immediate._value = next_target._value
             if not next_target._ok:
                 immediate._defused = True
             immediate.callbacks.append(self._resume)
             self._target = immediate
-            self.sim._schedule(immediate, priority=PRIORITY_URGENT)
+            sim._schedule(immediate, priority=PRIORITY_URGENT)
         else:
             next_target.callbacks.append(self._resume)
             self._target = next_target
@@ -401,7 +416,7 @@ class Simulator:
             raise SimulationError(f"{event!r} is already scheduled")
         event._scheduled = True
         self._eid += 1
-        heapq.heappush(self._queue, (self._now + delay, priority, self._eid, event))
+        heappush(self._queue, (self._now + delay, priority, self._eid, event))
 
     def schedule_callback(self, delay: float, callback: Callable[[], Any]) -> Event:
         """Run a plain callable at ``now + delay`` (no process needed)."""
@@ -420,9 +435,10 @@ class Simulator:
 
     def step(self) -> None:
         """Process exactly one event (cancelled events are discarded)."""
-        if not self._queue:
+        queue = self._queue
+        if not queue:
             raise SimulationError("no scheduled events")
-        when, _prio, _eid, event = heapq.heappop(self._queue)
+        when, _prio, _eid, event = heappop(queue)
         if event._cancelled:
             # Discarded without running callbacks or advancing the
             # clock; the event stays unprocessed forever.
@@ -445,20 +461,23 @@ class Simulator:
     def run(self, until: Optional[float | Event] = None) -> Any:
         """Run until time ``until``, event ``until``, or queue exhaustion.
 
-        Returns the value of ``until`` when it is an event.
+        Returns the value of ``until`` when it is an event.  Every event
+        is dispatched through :meth:`step`.
         """
+        queue = self._queue
+        step = self.step
         if until is None:
-            while self._queue:
-                self.step()
+            while queue:
+                step()
             return None
         if isinstance(until, Event):
             stop = until
             while not stop.processed:
-                if not self._queue:
+                if not queue:
                     raise SimulationError(
                         "simulation ran out of events before the awaited "
                         f"event {stop!r} triggered")
-                self.step()
+                step()
             if stop._ok:
                 return stop._value
             stop._defused = True
@@ -468,7 +487,7 @@ class Simulator:
             raise SimulationError(
                 f"cannot run until {horizon!r}: it is in the past "
                 f"(now={self._now!r})")
-        while self._queue and self._queue[0][0] <= horizon:
-            self.step()
+        while queue and queue[0][0] <= horizon:
+            step()
         self._now = horizon
         return None

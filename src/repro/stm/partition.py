@@ -14,13 +14,33 @@ encoding of the key rather than Python's salted ``hash``.
 from __future__ import annotations
 
 import zlib
-from typing import Hashable
+from typing import Dict, Hashable
 
 __all__ = ["PartitionSpace", "DEFAULT_PARTITIONS"]
 
 #: Paper guidance: more partitions than the server's core count; the
 #: testbed CPUs have 8 cores, we default comfortably above that.
 DEFAULT_PARTITIONS = 64
+
+#: Entries a :class:`PartitionSpace` memoizes before starting afresh.
+_MEMO_CAP = 1024
+
+#: Key types whose equal values always share one canonical encoding
+#: (``True == 1`` and both encode as the int 1).  Floats are left out:
+#: ``1 == 1.0`` but they encode differently.
+_MEMO_ATOMS = frozenset((str, bytes, int, bool))
+
+
+def _memoizable(key: Hashable) -> bool:
+    """True when every key equal to ``key`` maps to the same partition."""
+    kind = type(key)
+    if kind is tuple:
+        for element in key:
+            if type(element) not in _MEMO_ATOMS and not (
+                    type(element) is tuple and _memoizable(element)):
+                return False
+        return True
+    return kind in _MEMO_ATOMS
 
 
 def _canonical(key: Hashable) -> bytes:
@@ -49,15 +69,30 @@ def _canonical(key: Hashable) -> bytes:
 
 
 class PartitionSpace:
-    """Maps state keys to a fixed number of lock partitions."""
+    """Maps state keys to a fixed number of lock partitions.
+
+    Keys built from strings, bytes and ints (and tuples of those) are
+    memoized in a bounded dict, cleared when it reaches its cap; other
+    keys are hashed on every call.
+    """
 
     def __init__(self, n_partitions: int = DEFAULT_PARTITIONS):
         if n_partitions < 1:
             raise ValueError("need at least one partition")
         self.n_partitions = n_partitions
+        self._memo: Dict[Hashable, int] = {}
 
     def partition_of(self, key: Hashable) -> int:
-        return zlib.crc32(_canonical(key)) % self.n_partitions
+        if not _memoizable(key):
+            return zlib.crc32(_canonical(key)) % self.n_partitions
+        memo = self._memo
+        partition = memo.get(key)
+        if partition is None:
+            partition = zlib.crc32(_canonical(key)) % self.n_partitions
+            if len(memo) >= _MEMO_CAP:
+                memo.clear()
+            memo[key] = partition
+        return partition
 
     def partitions_of(self, keys) -> frozenset:
         return frozenset(self.partition_of(key) for key in keys)

@@ -1,6 +1,9 @@
 """Tests for piggyback logs, commit vectors, and messages."""
 
+from dataclasses import replace
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.costs import DEFAULT_COSTS
 from repro.core.piggyback import (
@@ -9,6 +12,7 @@ from repro.core.piggyback import (
     PiggybackMessage,
     value_bytes,
 )
+from repro.net.packet import FlowKey, Packet
 
 
 class TestValueBytes:
@@ -111,3 +115,70 @@ class TestPiggybackMessage:
         msg = PiggybackMessage()
         msg.add_log(PiggybackLog("m", depvec={0: 1}, updates={"k": b"12345678"}))
         assert msg.state_bytes() == 8
+
+
+def _scratch_byte_size(message):
+    """The message's size walked from scratch, as before caching."""
+    costs = message.costs
+    size = costs.message_header_bytes
+    for logs in message.logs.values():
+        for log in logs:
+            size += (costs.log_header_bytes +
+                     len(log.depvec) * costs.depvec_entry_bytes)
+            for value in log.updates.values():
+                size += costs.key_bytes + value_bytes(value, costs)
+    for commit in message.commits.values():
+        size += (costs.commit_header_bytes +
+                 len(commit.entries) * costs.depvec_entry_bytes)
+    return size
+
+
+def _scratch_state_bytes(message):
+    return sum(value_bytes(value, message.costs)
+               for logs in message.logs.values() for log in logs
+               for value in log.updates.values())
+
+
+_values = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
+                    st.binary(max_size=40), st.text(max_size=20),
+                    st.tuples(st.integers(), st.binary(max_size=8)))
+_mboxes = st.sampled_from(["a", "b", "c"])
+_message_ops = st.one_of(
+    st.tuples(st.just("add"), _mboxes,
+              st.dictionaries(st.integers(0, 63), st.integers(0, 99),
+                              max_size=3),
+              st.dictionaries(st.text(max_size=4), _values, max_size=4)),
+    st.tuples(st.just("take"), _mboxes),
+    st.tuples(st.just("commit"), _mboxes,
+              st.dictionaries(st.integers(0, 63), st.integers(0, 99),
+                              max_size=4)),
+)
+
+
+class TestCachedSizes:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_message_ops, max_size=30))
+    def test_cached_sizes_equal_scratch_after_every_change(self, ops):
+        message = PiggybackMessage()
+        packet = Packet(flow=FlowKey(1, 2, 3, 4), size=200)
+        packet.attach("ftc", message)
+        for op in ops:
+            if op[0] == "add":
+                message.add_log(PiggybackLog(op[1], depvec=op[2],
+                                             updates=op[3]))
+            elif op[0] == "take":
+                message.take_logs(op[1])
+            else:
+                message.set_commit(CommitVector(op[1], op[2]))
+            assert message.byte_size() == _scratch_byte_size(message)
+            assert message.state_bytes() == _scratch_state_bytes(message)
+            assert packet.wire_size == 200 + _scratch_byte_size(message)
+
+    def test_log_sizes_follow_the_cost_model_passed(self):
+        log = PiggybackLog("m", depvec={0: 1}, updates={"k": b"12345678"})
+        wide = replace(DEFAULT_COSTS, key_bytes=DEFAULT_COSTS.key_bytes + 7)
+        # Alternating cost models re-measures rather than reusing a
+        # size cached under the other model.
+        for _ in range(2):
+            assert log.byte_size() + 7 == log.byte_size(wide)
+            assert log.state_bytes() == log.state_bytes(wide) == 8

@@ -23,7 +23,7 @@ class TestHeadline:
         assert headline_pps(_report("baseline", 1234)) == 1234.0
 
     def test_list_results_are_not_gated(self):
-        # v2 BENCH_throughput.json keeps v1's mode list under results.
+        # A v1-style mode list under results carries no headline.
         assert headline_pps({"results": [{"sim_pps_per_wall_s": 9}]}) == 0.0
 
     def test_absent_results(self):
