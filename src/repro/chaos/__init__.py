@@ -9,8 +9,8 @@ Three layers (see PROTOCOL.md, "Failure model & chaos testing"):
   re-entrant recovery in ``repro.orchestration`` (exercised, not
   defined, here).
 - **Audit**: :class:`InvariantAuditor` checking the §4/§5 invariants
-  against a :class:`ShadowOracle`, and the soak harness behind
-  ``python -m repro chaos``.
+  against a :class:`ShadowOracle`, and the soak presets over
+  :func:`repro.scenario.run` behind ``python -m repro chaos``.
 """
 
 from .auditor import InvariantAuditor, InvariantViolation, ShadowOracle
@@ -30,16 +30,14 @@ from .plan import (
     FaultPlan,
     FaultSpec,
 )
+from ..scenario import OverloadSpec, ScheduleResult
 from .soak import (
-    OverloadSpec,
-    ScheduleResult,
     SoakConfig,
     SoakResult,
-    run_ctrlplane_schedule,
-    run_impaired_schedule,
-    run_overload_schedule,
-    run_reconfig_schedule,
-    run_schedule,
+    ctrlplane_schedule,
+    impaired_schedule,
+    overload_schedule,
+    reconfig_schedule,
     run_soak,
 )
 
@@ -63,10 +61,9 @@ __all__ = [
     "ShadowOracle",
     "SoakConfig",
     "SoakResult",
-    "run_ctrlplane_schedule",
-    "run_impaired_schedule",
-    "run_overload_schedule",
-    "run_reconfig_schedule",
-    "run_schedule",
+    "ctrlplane_schedule",
+    "impaired_schedule",
+    "overload_schedule",
+    "reconfig_schedule",
     "run_soak",
 ]

@@ -83,14 +83,18 @@ class ShadowOracle:
         self.released = 0
         self.duplicate_releases = 0
         self._seen: Set[int] = set()
-        #: When tracking order (impaired soaks): full egress pid
+        #: When tracking order (reliable-link runs): full egress pid
         #: sequence for bit-identical determinism comparison, plus a
         #: per-flow monotonicity check -- exactly-once delivery must
-        #: also be *ordered* within each flow (PROTOCOL.md §8).
+        #: also be *ordered* within each flow (PROTOCOL.md §8) -- and
+        #: per-flow config-version monotonicity: once a flow egresses a
+        #: packet stamped with config v, no older stamp may follow (§11).
         self.track_order = track_order
         self.order: List[int] = []
         self.out_of_order = 0
+        self.cfg_inversions = 0
         self._flow_last: Dict[FlowKey, int] = {}
+        self._flow_cfg: Dict[FlowKey, int] = {}
 
     def __call__(self, packet: Packet) -> None:
         self.released += 1
@@ -103,6 +107,11 @@ class ShadowOracle:
             if last is not None and packet.pid < last:
                 self.out_of_order += 1
             self._flow_last[packet.flow] = packet.pid
+            cfg = packet.meta.get("cfg", 0)
+            if cfg < self._flow_cfg.get(packet.flow, 0):
+                self.cfg_inversions += 1
+            else:
+                self._flow_cfg[packet.flow] = cfg
         if self.inner is not None:
             self.inner(packet)
 

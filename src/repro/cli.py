@@ -260,7 +260,7 @@ def _run_chain(args, telemetry=None, on_ready=None):
         if not hasattr(system, "fail_position"):
             print("--orchestrators requires --system ftc", file=sys.stderr)
             return None
-        from .chaos.soak import CTRLPLANE_ELECTION
+        from .scenario import CTRLPLANE_ELECTION
         from .orchestration import OrchestratorEnsemble
 
         ensemble = OrchestratorEnsemble(
@@ -558,7 +558,7 @@ def _cmd_chaos(args) -> int:
         if args.impair_data or args.reconfig:
             raise SystemExit("repro chaos: --overload is its own soak "
                              "mode; drop --impair-data/--reconfig")
-        from .chaos import OverloadSpec
+        from .scenario import OverloadSpec
         try:
             overload = OverloadSpec.parse(args.overload)
         except ValueError as err:

@@ -29,22 +29,14 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from ..core import FTCChain
-from ..core.costs import CostModel
 from ..metrics import EgressRecorder, confidence_interval95
 from ..middlebox import ch_n
 from ..net import TrafficGenerator, balanced_flows
 from ..orchestration import CloudNetwork, OrchestratorEnsemble, place_chain
-from ..orchestration.election import ElectionConfig
+from ..scenario import CTRLPLANE_ELECTION, SOAK_COSTS
 from ..sim import Simulator
 from ..telemetry import Telemetry
 from .runner import ExperimentResult, quick_mode
-
-#: Deterministic service costs so the table isolates protocol delays.
-COSTS = CostModel(cycle_jitter_frac=0.0)
-
-#: Tight leases keep failover well inside the measurement window.
-ELECTION = ElectionConfig(lease_s=6e-3, renew_every_s=2e-3,
-                          candidacy_base_s=2e-3)
 
 #: The chain failure every scenario injects (middle of Ch-3).
 FAIL_POSITION = 1
@@ -65,17 +57,18 @@ def _first(telemetry: Telemetry, kind: str,
 
 def _one_trial(scenario: str, seed: int) -> Dict[str, float]:
     sim = Simulator()
-    net = CloudNetwork(sim, hop_delay_s=COSTS.hop_delay_s,
-                       bandwidth_bps=COSTS.bandwidth_bps, rtt_jitter_frac=0.0,
-                       seed=seed)
+    net = CloudNetwork(sim, hop_delay_s=SOAK_COSTS.hop_delay_s,
+                       bandwidth_bps=SOAK_COSTS.bandwidth_bps,
+                       rtt_jitter_frac=0.0, seed=seed)
     egress = EgressRecorder(sim)
     telemetry = Telemetry(max_trace_events=0)
     chain = FTCChain(sim, ch_n(3, n_threads=2), f=1, deliver=egress,
-                     costs=COSTS, net=net, n_threads=2, seed=seed,
+                     costs=SOAK_COSTS, net=net, n_threads=2, seed=seed,
                      telemetry=telemetry)
     place_chain(chain, ["core", "core", "core"])
     chain.start()
-    ensemble = OrchestratorEnsemble(sim, chain, n=3, election=ELECTION,
+    ensemble = OrchestratorEnsemble(sim, chain, n=3,
+                                    election=CTRLPLANE_ELECTION,
                                     heartbeat_interval_s=1e-3, region="core")
     ensemble.start()
     TrafficGenerator(sim, chain.ingress, rate_pps=2e4,

@@ -12,19 +12,11 @@ switch.  Lost and Reordered must read 0 on every row.
 
 from __future__ import annotations
 
-from ..chaos.auditor import ShadowOracle
-from ..core import FTCChain
-from ..core.costs import CostModel
-from ..core.reconfig import (
-    ClassifierRule,
-    ClassifierSet,
-    ReconfigOp,
-    apply_reconfig,
-)
-from ..middlebox import ch_n
+from dataclasses import replace
+
+from ..core.reconfig import ClassifierRule, ClassifierSet, ReconfigOp
 from ..middlebox.monitor import Monitor
-from ..net import TrafficGenerator, balanced_flows
-from ..sim import Simulator
+from ..scenario import Scenario, run as run_scenario
 from .runner import ExperimentResult, quick_mode
 
 OFFERED_PPS = 2e4
@@ -51,36 +43,14 @@ OP_BUILDERS = (
                                   middlebox_name="monitor2")),
 )
 
-
-def _run_point(op: ReconfigOp, duration_s: float, seed: int):
-    sim = Simulator()
-    oracle = ShadowOracle(track_order=True)
-    chain = FTCChain(sim, ch_n(3, n_threads=2), f=1, deliver=oracle,
-                     costs=CostModel(cycle_jitter_frac=0.0), n_threads=2,
-                     seed=seed, reliable_links=True)
-    chain.start()
-    chain.net.impair_data(drop_rate=DROP_RATE, dup_rate=DUP_RATE,
-                          reorder_rate=REORDER_RATE,
-                          corrupt_rate=CORRUPT_RATE, seed=seed)
-    generator = TrafficGenerator(sim, chain.ingress, rate_pps=OFFERED_PPS,
-                                 flows=balanced_flows(8, 2))
-    outcome = {}
-
-    def drive():
-        report = yield from apply_reconfig(chain, op)
-        outcome["report"] = report
-
-    def start():
-        sim.process(drive(), name=f"reconfig-{op.kind}")
-
-    sim.schedule_callback(duration_s * 0.4, start)
-    sim.run(until=duration_s)
-    generator.stop()
-    chain.net.heal()
-    chain.net.clear_impairment()
-    # Retransmission tails + hold release pump at NIC line rate.
-    sim.run(until=duration_s + 60e-3)
-    return chain, generator, oracle, outcome.get("report")
+#: Ch-3 on impaired reliable links with no control plane: each op is
+#: applied directly at 40% of the run.  The drain covers retransmission
+#: tails and the hold-release pump at NIC line rate.
+PRESET = Scenario(reliable_links=True, rate_pps=OFFERED_PPS,
+                  impair_data=(DROP_RATE, DUP_RATE, REORDER_RATE,
+                               CORRUPT_RATE),
+                  max_faults=None, orchestrators=0, heal=True,
+                  runway_s=60e-3)
 
 
 def run(seed: int = 0) -> ExperimentResult:
@@ -93,18 +63,22 @@ def run(seed: int = 0) -> ExperimentResult:
                  "Held pkts", "Migrated KB", "Drain ms", "Switch ms",
                  "Total ms"])
     for name, build in OP_BUILDERS:
-        chain, generator, oracle, report = _run_point(
-            build(), duration_s, seed)
+        chains = []
+        outcome = run_scenario(
+            replace(PRESET, seed=seed, duration_s=duration_s,
+                    ops=((0.4, build()),)),
+            on_chain=lambda sim, chain: chains.append(chain))
+        report = outcome.reconfigs[0] if outcome.reconfigs else None
         if report is None or not report.committed:
             raise RuntimeError(
                 f"reconfiguration {name!r} did not commit "
                 f"({'no report' if report is None else report.detail})")
         result.add(
             name,
-            generator.sent,
-            oracle.released,
-            generator.sent - oracle.released,
-            oracle.out_of_order,
+            outcome.sent,
+            outcome.released,
+            outcome.sent - outcome.released,
+            chains[0].deliver.out_of_order,
             report.held_packets,
             round(report.bytes_transferred / 1024.0, 1),
             round(report.drain_s * 1e3, 2),

@@ -9,7 +9,7 @@ on, the violation trips it and the auto-dump lands on disk.
 import json
 
 from repro.chaos import InvariantAuditor, InvariantViolation
-from repro.chaos.soak import SOAK_COSTS
+from repro.scenario import SOAK_COSTS
 from repro.core import FTCChain
 from repro.flight import FlightRecorder
 from repro.middlebox import ch_n

@@ -9,13 +9,13 @@ from repro.chaos import (
     InvariantAuditor,
     ShadowOracle,
     SoakConfig,
-    run_schedule,
     run_soak,
 )
 from repro.core import FTCChain
 from repro.core.costs import CostModel
 from repro.middlebox import ch_n
 from repro.net import TrafficGenerator, balanced_flows
+from repro.scenario import Scenario, run
 from repro.sim import Simulator
 
 COSTS = CostModel(cycle_jitter_frac=0.0)
@@ -147,27 +147,27 @@ class TestAuditor:
 
 class TestMonkeyAndSoak:
     def test_schedule_is_seed_deterministic(self):
-        a = run_schedule(seed=42, chain_length=3, f=1, max_faults=2,
-                         duration_s=40e-3)
-        b = run_schedule(seed=42, chain_length=3, f=1, max_faults=2,
-                         duration_s=40e-3)
+        a = run(Scenario(seed=42, chain_length=3, f=1, max_faults=2,
+                         duration_s=40e-3))
+        b = run(Scenario(seed=42, chain_length=3, f=1, max_faults=2,
+                         duration_s=40e-3))
         assert a.faults == b.faults
         assert a.released == b.released
         assert a.failures_detected == b.failures_detected
 
     def test_different_seeds_differ(self):
-        a = run_schedule(seed=1, chain_length=4, f=1, max_faults=3,
-                         duration_s=40e-3)
-        b = run_schedule(seed=2, chain_length=4, f=1, max_faults=3,
-                         duration_s=40e-3)
+        a = run(Scenario(seed=1, chain_length=4, f=1, max_faults=3,
+                         duration_s=40e-3))
+        b = run(Scenario(seed=2, chain_length=4, f=1, max_faults=3,
+                         duration_s=40e-3))
         assert a.faults != b.faults
 
     def test_monkey_respects_f_bound(self):
         """With the safety gate on, no schedule ever degrades the chain:
         every injected crash stays within every group's f budget."""
         for seed in range(5):
-            result = run_schedule(seed=seed, chain_length=3, f=1,
-                                  max_faults=4, duration_s=50e-3)
+            result = run(Scenario(seed=seed, chain_length=3, f=1,
+                                  max_faults=4, duration_s=50e-3))
             assert not result.degraded
             assert result.violations == []
 

@@ -19,13 +19,21 @@ from repro.chaos import (
     InvariantAuditor,
     ORCH_FAULT_KINDS,
     ShadowOracle,
-    run_ctrlplane_schedule,
+    ctrlplane_schedule,
 )
-from repro.chaos.soak import CTRLPLANE_ELECTION, SOAK_COSTS
 from repro.core import FTCChain
 from repro.middlebox import ch_n
 from repro.orchestration import OrchestratorEnsemble
+from repro.scenario import CTRLPLANE_ELECTION, SOAK_COSTS, Scenario, run
 from repro.sim import Simulator
+
+
+def _ctrlplane_schedule(seed, duration_s):
+    """A Ch-3, f=1 ensemble schedule: up to 4 monkey faults, one every
+    ~10 ms, orchestrator faults included."""
+    return run(ctrlplane_schedule(Scenario(
+        seed=seed, duration_s=duration_s, max_faults=4,
+        mean_fault_interval_s=10e-3)))
 
 
 def _harness(seed=7, n=3):
@@ -115,7 +123,7 @@ class TestCtrlplaneSoak:
         with zero violations, and fencing fires somewhere in the sweep."""
         fenced = 0
         for seed in range(4):
-            result = run_ctrlplane_schedule(seed=seed, duration_s=80e-3)
+            result = _ctrlplane_schedule(seed=seed, duration_s=80e-3)
             assert result.violations == [], (seed, result.violations)
             assert result.elections >= 1
             fenced += result.fenced_commands
@@ -128,8 +136,8 @@ class TestCtrlplaneSoak:
                     result.released, result.degraded,
                     [str(v) for v in result.violations])
 
-        first = fingerprint(run_ctrlplane_schedule(seed=5, duration_s=60e-3))
-        second = fingerprint(run_ctrlplane_schedule(seed=5, duration_s=60e-3))
+        first = fingerprint(_ctrlplane_schedule(seed=5, duration_s=60e-3))
+        second = fingerprint(_ctrlplane_schedule(seed=5, duration_s=60e-3))
         assert first == second
 
     def test_ctrlplane_experiment_trial_is_deterministic(self):
@@ -144,11 +152,10 @@ class TestCtrlplaneSoak:
     def test_default_soak_path_has_no_ensemble(self):
         """--orchestrators 1 (the default) must not allocate any
         ensemble machinery: no gate, no extra servers, plain history."""
-        from repro.chaos import run_schedule
         from repro.orchestration import Orchestrator
 
-        result = run_schedule(seed=0, chain_length=3, f=1, max_faults=2,
-                              duration_s=30e-3)
+        result = run(Scenario(seed=0, chain_length=3, f=1, max_faults=2,
+                              duration_s=30e-3))
         assert result.elections == 0
         assert result.fenced_commands == 0
         sim = Simulator()

@@ -17,9 +17,10 @@ from repro.chaos import (
     FaultSpec,
     OverloadSpec,
     SoakConfig,
-    run_overload_schedule,
+    overload_schedule,
     run_soak,
 )
+from repro.scenario import Scenario, run
 
 
 class TestOverloadSpec:
@@ -69,7 +70,7 @@ class TestOverloadSoak:
     def test_flash_crowd_zero_violations(self):
         """Headline point: 4.8x flash crowd, zero in-chain drops,
         brownout engages and exits, goodput above floor."""
-        result = run_overload_schedule(seed=42)
+        result = run(overload_schedule(Scenario(seed=42)))
         assert result.violations == []
         assert result.shed > 0                    # it genuinely overloaded
         assert result.brownout_transitions >= 2   # entered and exited
@@ -81,21 +82,21 @@ class TestOverloadSoak:
         """Overload + middlebox crash mid-flash: failover under
         pressure still loses nothing inside the chain."""
         spec = OverloadSpec(crash=True)
-        result = run_overload_schedule(seed=7, spec=spec)
+        result = run(overload_schedule(Scenario(seed=7), spec=spec))
         assert result.violations == []
         assert result.failures_detected >= 1
         assert result.recoveries >= 1
 
     def test_replicated_control_plane_journals_brownout(self):
         spec = OverloadSpec(orchestrators=3)
-        result = run_overload_schedule(seed=11, spec=spec)
+        result = run(overload_schedule(Scenario(seed=11), spec=spec))
         assert result.violations == []
         assert result.brownout_transitions >= 2
 
     def test_same_seed_bit_identical(self):
         """Determinism regression: one seed, two runs, same ledger."""
-        a = run_overload_schedule(seed=5)
-        b = run_overload_schedule(seed=5)
+        a = run(overload_schedule(Scenario(seed=5)))
+        b = run(overload_schedule(Scenario(seed=5)))
         assert (a.offered, a.admitted, a.shed, a.released,
                 a.brownout_transitions, a.goodput_pps) == \
                (b.offered, b.admitted, b.shed, b.released,

@@ -1,6 +1,6 @@
 """Reconfiguration soak: scripted live operations under impairment.
 
-The ``run_reconfig_schedule`` driver fires a classifier swap, a
+The ``reconfig_schedule`` preset fires a classifier swap, a
 rescale, a migration, an insert, and a remove against a chain under
 offered load with a mid-run data-impairment window, then audits the
 invariants (zero loss / zero reorder in the crash-free modes, auditor
@@ -10,7 +10,8 @@ can run the long modes on their own schedule.
 
 import pytest
 
-from repro.chaos import run_reconfig_schedule
+from repro.chaos import reconfig_schedule
+from repro.scenario import Scenario, run
 
 pytestmark = pytest.mark.soak_reconfig
 
@@ -22,7 +23,7 @@ def _assert_clean(result):
 
 @pytest.mark.parametrize("seed", [1, 2, 7])
 def test_clean_schedule_zero_loss(seed):
-    result = run_reconfig_schedule(seed=seed)
+    result = run(reconfig_schedule(Scenario(seed=seed)))
     _assert_clean(result)
     assert result.reconfigs_committed == 5
     assert result.reconfigs_aborted == 0
@@ -32,7 +33,7 @@ def test_clean_schedule_zero_loss(seed):
 def test_crash_during_reconfig_invariants_hold():
     # Crashes lose in-flight packets by design; the audit is
     # invariants-only (no duplicates, no reorders, ops terminal).
-    result = run_reconfig_schedule(seed=1, crashes=True)
+    result = run(reconfig_schedule(Scenario(seed=1), crashes=True))
     _assert_clean(result)
     assert result.reconfigs_committed + result.reconfigs_aborted == 5
 
@@ -40,7 +41,7 @@ def test_crash_during_reconfig_invariants_hold():
 def test_leader_failover_mid_switch():
     # A replicated control plane with elections forced mid-schedule:
     # the successor must resume or formally abort every open op.
-    result = run_reconfig_schedule(seed=7, orchestrators=3)
+    result = run(reconfig_schedule(Scenario(seed=7), orchestrators=3))
     _assert_clean(result)
     assert result.elections >= 1
     assert result.reconfigs_committed + result.reconfigs_aborted == 5
@@ -48,8 +49,8 @@ def test_leader_failover_mid_switch():
 
 
 def test_determinism_same_seed_same_run():
-    a = run_reconfig_schedule(seed=5)
-    b = run_reconfig_schedule(seed=5)
+    a = run(reconfig_schedule(Scenario(seed=5)))
+    b = run(reconfig_schedule(Scenario(seed=5)))
     _assert_clean(a)
     _assert_clean(b)
     # Packet ids come from a process-global counter, so same-seed runs

@@ -14,7 +14,7 @@ import json
 import pytest
 
 from repro.chaos import FaultInjector, FaultPlan, ShadowOracle
-from repro.chaos.soak import CTRLPLANE_ELECTION, SOAK_COSTS
+from repro.scenario import CTRLPLANE_ELECTION, SOAK_COSTS
 from repro.core import FTCChain
 from repro.flight import (
     FlightRecorder,

@@ -8,7 +8,7 @@ and the whole export must pass :func:`validate_chrome_trace`.
 
 import json
 
-from repro.chaos.soak import CTRLPLANE_ELECTION, SOAK_COSTS
+from repro.scenario import CTRLPLANE_ELECTION, SOAK_COSTS
 from repro.core import FTCChain
 from repro.middlebox import ch_n
 from repro.net import TrafficGenerator, balanced_flows
