@@ -71,3 +71,15 @@ class TestMeasurements:
             "nf", lambda: [Monitor(name="m", n_threads=1)], rate_pps=3.4e6,
             n_threads=1, warm_s=0.3e-3, window_s=1.5e-3)
         assert heavy.latency.mean_us() > light.latency.mean_us()
+
+
+class TestLossyExperiment:
+    def test_raw_link_goodput_is_the_offered_rate(self, monkeypatch):
+        """The 0.00 row offers 0.1 Mpps on raw links and delivers every
+        packet, so goodput over the traffic window reads ~0.1 Mpps."""
+        from repro.experiments import lossy
+        monkeypatch.delenv("REPRO_FULL", raising=False)
+        result = lossy.run()
+        row = result.rows[result.column("Drop rate").index("0.00")]
+        goodput = row[result.headers.index("Goodput (Mpps)")]
+        assert goodput == pytest.approx(lossy.OFFERED_PPS / 1e6, rel=0.10)
